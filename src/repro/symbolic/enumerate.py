@@ -55,17 +55,30 @@ class IsomorphismGroups:
         Only these pairs can distinguish isomorphism patterns; pairs already
         decided by the path condition would bloat blocking clauses without
         ever changing the pattern.
+
+        The constraints are asserted once in a fresh solver scope, and each
+        probe adds only its one equality literal on top
+        (:meth:`Solver.check_asserted`), so the shared condition is
+        canonicalized and absorbed once rather than once per probe.  The
+        scope sits on top of whatever ``solver`` already asserts (TESTGEN's
+        solver asserts nothing) and is popped before returning.
         """
         free = []
-        for a, b in self.all_pairs():
-            equal = T.eq(a, b)
-            if not solver.check(constraints + [equal]):
-                continue
-            if not solver.check(constraints + [T.not_(equal)]):
-                continue
-            free.append((a, b))
-            if len(free) >= cap:
-                break
+        solver.push()
+        try:
+            for c in constraints:
+                solver.assert_term(c)
+            for a, b in self.all_pairs():
+                equal = T.eq(a, b)
+                if not solver.check_asserted((equal,)):
+                    continue
+                if not solver.check_asserted((T.not_(equal),)):
+                    continue
+                free.append((a, b))
+                if len(free) >= cap:
+                    break
+        finally:
+            solver.pop()
         return free
 
     def pattern_constraint(
@@ -130,8 +143,8 @@ def enumerate_models(
         seen.add(key)
         yield model
         produced += 1
-        if len(groups) == 0:
-            return
+        if len(groups) == 0 or produced >= limit:
+            return  # no further model is wanted: skip the probing
         if free_pairs is None:
             free_pairs = groups.free_pairs(solver, blocked)
             if not free_pairs:

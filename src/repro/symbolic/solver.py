@@ -18,7 +18,9 @@ every relevant variable a concrete Python value.
 Two query styles share one memo:
 
 * **One-shot** — :meth:`Solver.check` / :meth:`Solver.model` solve a full
-  constraint list from scratch (TESTGEN's model enumeration works this way).
+  constraint list from scratch.  TESTGEN builds each model this way, with
+  the search order kept exactly as it was before scoped solving, so
+  generated test cases stay byte-identical.
 * **Scoped** — :meth:`Solver.push` / :meth:`Solver.assert_term` /
   :meth:`Solver.check_asserted` / :meth:`Solver.pop` maintain a persistent
   assertion stack.  Each scope snapshots the union-find, boolean valuation,
@@ -27,7 +29,14 @@ Two query styles share one memo:
   path condition; a pop restores the parent snapshot in O(1).  Literal
   assertion detects contradictions eagerly (union-find merge failures,
   boolean flips, emptied integer domains), so most UNSAT branches never
-  reach a search.
+  reach a search.  TESTGEN's isomorphism probing works this way too: the
+  path condition is asserted once and each probe adds one equality.
+
+Integer literals are kept partitioned into connected components over
+shared variables as they are asserted (:class:`_IntIndex`), shared
+copy-on-write between scope snapshots and DPLL branches; each component
+memoizes its key and verdict, so a check re-solves only the components
+its newest literals touched.
 
 Queries are memoized on the *canonical* constraint set
 (:func:`repro.symbolic.terms.canonical`), so structurally-equal conditions
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from repro.symbolic import terms as T
@@ -191,6 +201,125 @@ class _LRU:
         self._data.clear()
 
 
+class _IntComponent:
+    """One connected component of integer literals: every literal shares a
+    variable, directly or transitively, with another in the component.
+
+    Immutable once built — scope snapshots and DPLL branches share one
+    instance until a new literal touches the component.  ``literals``
+    keep global assertion order (``seqs`` holds each literal's position
+    in it), which is the order the search discovers variables in, so a
+    component solves exactly as a from-scratch partition would.  The
+    frozenset memo ``key`` and the search ``verdict`` (an assignment, or
+    None when unsatisfiable) are filled on first check and then reused by
+    every theory sharing the component.
+    """
+
+    __slots__ = ("literals", "seqs", "key", "verdict")
+
+    def __init__(self, literals: tuple, seqs: tuple):
+        self.literals = literals
+        self.seqs = seqs
+        self.key: Optional[frozenset] = None
+        self.verdict = _MISSING
+
+    @staticmethod
+    def merge(parts: list, lit: tuple, seq: int) -> "_IntComponent":
+        """``parts`` joined by ``lit``, the newest literal (so it goes last)."""
+        if not parts:
+            return _IntComponent((lit,), (seq,))
+        if len(parts) == 1:
+            part = parts[0]
+            return _IntComponent(part.literals + (lit,), part.seqs + (seq,))
+        entries = sorted(
+            itertools.chain.from_iterable(
+                zip(part.seqs, part.literals) for part in parts
+            ),
+            key=itemgetter(0),
+        )
+        entries.append((seq, lit))
+        seqs, literals = zip(*entries)
+        return _IntComponent(literals, seqs)
+
+
+class _IntIndex:
+    """The integer literals of one theory, partitioned into components.
+
+    A union-find over integer variables, kept flat (``root`` maps every
+    variable straight to its component's root, relabelling the smaller
+    side on a merge) so lookups never write and a shared index stays
+    valid for every theory reading it.  Updated as each literal is
+    asserted, so a check walks the already-built components instead of
+    re-partitioning the whole literal set.
+    """
+
+    __slots__ = ("root", "components", "ground", "count", "_ordered")
+
+    def __init__(self):
+        self.root: dict[Term, Term] = {}
+        self.components: dict[Term, _IntComponent] = {}
+        #: Variable-free literals, checked together after the components.
+        self.ground: Optional[_IntComponent] = None
+        self.count = 0
+        self._ordered: Optional[tuple] = ()
+
+    def copy(self) -> "_IntIndex":
+        other = _IntIndex.__new__(_IntIndex)
+        other.root = dict(self.root)
+        other.components = dict(self.components)
+        other.ground = self.ground
+        other.count = self.count
+        other._ordered = self._ordered
+        return other
+
+    def add(self, lit: tuple) -> None:
+        seq = self.count
+        self.count = seq + 1
+        self._ordered = None
+        _, a, b = lit
+        lit_vars = T.cached_variables(a) | T.cached_variables(b)
+        if not lit_vars:
+            parts = [] if self.ground is None else [self.ground]
+            self.ground = _IntComponent.merge(parts, lit, seq)
+            return
+        root_of = self.root
+        components = self.components
+        roots: list[Term] = []
+        for v in lit_vars:
+            r = root_of.get(v)
+            if r is not None and r not in roots:
+                roots.append(r)
+        # The largest component survives; the others' variables relabel.
+        survivor = (
+            max(roots, key=lambda r: len(components[r].literals))
+            if roots else next(iter(lit_vars))
+        )
+        parts = [components.pop(r) for r in roots]
+        for r, part in zip(roots, parts):
+            if r is survivor:
+                continue
+            for _, x, y in part.literals:
+                for v in T.cached_variables(x) | T.cached_variables(y):
+                    root_of[v] = survivor
+        components[survivor] = _IntComponent.merge(parts, lit, seq)
+        for v in lit_vars:
+            root_of[v] = survivor
+
+    def ordered(self) -> tuple:
+        """Components in order of their first literal, ground last — the
+        order a from-scratch partition of the literal list yields."""
+        if self._ordered is None:
+            ordered = sorted(self.components.values(), key=_first_seq)
+            if self.ground is not None:
+                ordered.append(self.ground)
+            self._ordered = tuple(ordered)
+        return self._ordered
+
+
+def _first_seq(component: _IntComponent) -> int:
+    return component.seqs[0]
+
+
 class _Theory:
     """Accumulated literal state during a DPLL branch or solver scope.
 
@@ -198,16 +327,24 @@ class _Theory:
     integer variable bounded by a single-variable literal asserted so far,
     the surviving ``(lo, hi, excluded)`` window.  An emptied window is an
     eager UNSAT — no search needed.
+
+    ``ints`` is the integer component index, shared copy-on-write: a
+    clone reads its parent's index until it asserts an integer literal of
+    its own, and even then copies only the variable and component maps,
+    never the components themselves.
     """
 
-    __slots__ = ("bools", "parent", "rank", "diseq", "int_literals", "domains")
+    __slots__ = (
+        "bools", "parent", "rank", "diseq", "ints", "ints_owned", "domains",
+    )
 
     def __init__(self):
         self.bools: dict[Term, bool] = {}
         self.parent: dict[Term, Term] = {}
         self.rank: dict[Term, int] = {}
         self.diseq: list[tuple[Term, Term]] = []
-        self.int_literals: list[tuple[str, Term, Term]] = []
+        self.ints = _IntIndex()
+        self.ints_owned = True
         self.domains: dict[Term, tuple[int, int, frozenset]] = {}
 
     def clone(self) -> "_Theory":
@@ -216,9 +353,16 @@ class _Theory:
         t.parent = dict(self.parent)
         t.rank = dict(self.rank)
         t.diseq = list(self.diseq)
-        t.int_literals = list(self.int_literals)
+        t.ints = self.ints
+        t.ints_owned = self.ints_owned = False
         t.domains = dict(self.domains)
         return t
+
+    def add_int(self, op: str, a: Term, b: Term) -> None:
+        if not self.ints_owned:
+            self.ints = self.ints.copy()
+            self.ints_owned = True
+        self.ints.add((op, a, b))
 
     def find(self, x: Term) -> Term:
         root = x
@@ -297,11 +441,20 @@ class Solver:
         self.int_max = int_max
         self.cache_size = cache_size
         self._check_cache = _LRU(cache_size)
+        # Integer-component verdicts: one memo for satisfiability queries,
+        # one for model construction.  A component's assignment depends on
+        # the literal order it was first solved in, so keeping the two
+        # apart means no probe ever decides which assignment a model gets.
         self._int_cache = _LRU(cache_size)
+        self._model_int_cache = _LRU(cache_size)
         self.stats = {
             "checks": 0,
             "cache_hits": 0,
+            "oneshot_queries": 0,
+            "scoped_queries": 0,
             "int_nodes": 0,
+            "int_solved": 0,
+            "int_memo_hits": 0,
             "decisions": 0,
             "scope_asserts": 0,
             "scope_pushes": 0,
@@ -316,6 +469,7 @@ class Solver:
 
     def check(self, constraints: Iterable[Term]) -> bool:
         """True when the conjunction of ``constraints`` is satisfiable."""
+        self.stats["oneshot_queries"] += 1
         formulas = _prepare(T.canonical(c) for c in constraints)
         if formulas is None:
             return False
@@ -436,6 +590,7 @@ class Solver:
         probe mid-prefix without discarding a previous run's suffix
         snapshots it may still reuse.
         """
+        self.stats["scoped_queries"] += 1
         if depth is None:
             scope = self._scopes[-1]
             frames = self._scopes
@@ -469,7 +624,7 @@ class Solver:
                 is not None
             )
         else:
-            result = self._int_check(scope.theory, assign_out=None)
+            result = self._int_check(scope.theory, self._int_cache)
         self._check_cache.put(key, result)
         return result
 
@@ -514,7 +669,8 @@ class Solver:
                 continue
             if not self._assert_literal(f, theory):
                 return None
-        if not self._int_check(theory, assign_out=None):
+        cache = self._model_int_cache if want_model else self._int_cache
+        if not self._int_check(theory, cache):
             return None
         return theory
 
@@ -533,7 +689,7 @@ class Solver:
         if k == T.EQ:
             a, b = f.args
             if a.sort is T.INT:
-                theory.int_literals.append(("eq" if positive else "ne", a, b))
+                theory.add_int("eq" if positive else "ne", a, b)
                 return True
             if positive:
                 return theory.union(a, b)
@@ -542,16 +698,16 @@ class Solver:
             a, b = f.args
             # not (a < b)  <=>  b <= a
             if positive:
-                theory.int_literals.append(("lt", a, b))
+                theory.add_int("lt", a, b)
             else:
-                theory.int_literals.append(("le", b, a))
+                theory.add_int("le", b, a)
             return True
         if k == T.LE:
             a, b = f.args
             if positive:
-                theory.int_literals.append(("le", a, b))
+                theory.add_int("le", a, b)
             else:
-                theory.int_literals.append(("lt", b, a))
+                theory.add_int("lt", b, a)
             return True
         raise SolverError(f"unsupported literal: {f!r}")
 
@@ -559,31 +715,40 @@ class Solver:
     # Integer theory: bounded backtracking with forward checking.
     #
     # Path conditions accumulate many independent integer facts (bounds on
-    # unrelated inode fields, offsets, fds), so the literal set is first
-    # split into connected components over shared variables; each component
-    # is solved separately and memoized — re-checks of grown path
-    # conditions hit the cache for every unchanged component.
+    # unrelated inode fields, offsets, fds), so the literals are kept split
+    # into connected components over shared variables (:class:`_IntIndex`,
+    # maintained as literals are asserted); each component is solved
+    # separately and memoized — re-checks of grown path conditions reuse
+    # every unchanged component without even rebuilding its key.
 
     def _int_check(
-        self, theory: _Theory, assign_out: Optional[dict]
+        self, theory: _Theory, cache: _LRU, assign_out: Optional[dict] = None
     ) -> bool:
-        literals = theory.int_literals
-        if not literals:
-            return True
-        for component in _int_components(literals):
-            key = frozenset(component)
-            cached = self._int_cache.get(key, _MISSING)
-            if cached is _MISSING:
-                cached = self._solve_int_component(component)
-                self._int_cache.put(key, cached)
-            if cached is None:
+        stats = self.stats
+        for component in theory.ints.ordered():
+            verdict = component.verdict
+            if verdict is _MISSING:
+                key = component.key
+                if key is None:
+                    key = component.key = frozenset(component.literals)
+                verdict = cache.get(key, _MISSING)
+                if verdict is _MISSING:
+                    verdict = self._solve_int_component(component.literals)
+                    cache.put(key, verdict)
+                    stats["int_solved"] += 1
+                else:
+                    stats["int_memo_hits"] += 1
+                component.verdict = verdict
+            else:
+                stats["int_memo_hits"] += 1
+            if verdict is None:
                 return False
             if assign_out is not None:
-                assign_out.update(cached)
+                assign_out.update(verdict)
         return True
 
     def _solve_int_component(
-        self, literals: list
+        self, literals: Sequence
     ) -> Optional[dict[Term, int]]:
         variables: list[Term] = []
         seen = set()
@@ -672,7 +837,9 @@ class Solver:
         for v, val in theory.bools.items():
             assignment[v] = val
         int_assignment: dict[Term, int] = {}
-        if not self._int_check(theory, assign_out=int_assignment):
+        if not self._int_check(
+            theory, self._model_int_cache, assign_out=int_assignment
+        ):
             raise AssertionError("theory was satisfiable a moment ago")
         assignment.update(int_assignment)
         # Group uninterpreted terms into equivalence classes per sort and
@@ -773,42 +940,6 @@ def _literal_bound(c: Term):
     if bound is None:
         return None
     return (v, bound[0], bound[1])
-
-
-def _int_components(literals: list) -> list[list]:
-    """Partition literals into connected components over shared variables."""
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[ra] = rb
-
-    lit_vars_list = []
-    for lit in literals:
-        lit_vars = T.term_variables(lit[1], T.term_variables(lit[2]))
-        lit_vars_list.append(lit_vars)
-        vs = list(lit_vars)
-        for v in vs[1:]:
-            union(vs[0], v)
-    groups: dict = {}
-    ground = []
-    for lit, lit_vars in zip(literals, lit_vars_list):
-        if not lit_vars:
-            ground.append(lit)
-            continue
-        root = find(next(iter(lit_vars)))
-        groups.setdefault(root, []).append(lit)
-    components = list(groups.values())
-    if ground:
-        components.append(ground)
-    return components
 
 
 def _eval_ground(lit) -> bool:

@@ -310,18 +310,20 @@ def ite(cond: Term, then: Term, other: Term) -> Term:
 _ORDER_KEY_CACHE: dict[int, tuple] = {}
 _CANON_CACHE: dict[int, "Term"] = {}
 _CANON_NEG_CACHE: dict[int, "Term"] = {}
+_VARS_CACHE: dict[int, frozenset] = {}
 
-#: Safety valve for the three id-keyed caches above.  Their natural bound
+#: Safety valve for the four id-keyed caches above.  Their natural bound
 #: is the interning table (one entry per distinct term, which the
 #: ``_interned`` registry keeps alive, so ids never go stale) — but a
 #: pathological sweep that interns tens of millions of terms would drag
 #: the caches along with it.  Past this size they are simply cleared;
 #: every entry is recomputable.
 _CANON_CACHE_LIMIT = 1_000_000
+_ID_CACHES = (_ORDER_KEY_CACHE, _CANON_CACHE, _CANON_NEG_CACHE, _VARS_CACHE)
 
 
 def _enforce_cache_limit() -> None:
-    for cache in (_ORDER_KEY_CACHE, _CANON_CACHE, _CANON_NEG_CACHE):
+    for cache in _ID_CACHES:
         if len(cache) > _CANON_CACHE_LIMIT:
             cache.clear()
 
@@ -460,9 +462,6 @@ def _canon_add(t: Term) -> Term:
     return result
 
 
-_VARS_CACHE: dict[int, frozenset] = {}
-
-
 def cached_variables(term: Term) -> frozenset:
     """All variable terms appearing in ``term`` (memoized; terms are interned)."""
     hit = _VARS_CACHE.get(id(term))
@@ -474,6 +473,7 @@ def cached_variables(term: Term) -> frozenset:
         result = frozenset()
     else:
         result = frozenset().union(*[cached_variables(a) for a in term.args])
+    _enforce_cache_limit()
     _VARS_CACHE[id(term)] = result
     return result
 

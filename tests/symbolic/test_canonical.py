@@ -120,3 +120,21 @@ def test_all_permutations_share_one_canonical_form(n):
         T.canonical(T.and_(*perm)) for perm in itertools.permutations(atoms)
     }
     assert len(forms) == 1
+
+
+def test_variable_cache_is_bounded_by_the_id_cache_limit(monkeypatch):
+    """``cached_variables`` memoizes by term id like the canonical caches,
+    and the same safety valve clears it once it outgrows the limit."""
+    limit = 8
+    monkeypatch.setattr(T, "_CANON_CACHE_LIMIT", limit)
+    T._VARS_CACHE.clear()
+    xs = [T.var(f"cn.lim{i}", T.INT) for i in range(3 * limit)]
+    sums = [T.add(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]
+    for i, term in enumerate(sums):
+        assert T.cached_variables(term) == {xs[i], xs[i + 1]}
+        assert len(T._VARS_CACHE) <= limit + 1
+    # Cleared entries recompute to the same answer.
+    assert T.term_variables(sums[0]) == {xs[0], xs[1]}
+    assert T.cached_variables(T.lt(sums[0], sums[-1])) == {
+        xs[0], xs[1], xs[-2], xs[-1]
+    }
